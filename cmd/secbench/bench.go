@@ -297,13 +297,15 @@ func benchRetrieve(ctx context.Context) (benchReport, error) {
 
 // benchTCPRetrieve measures the same chain retrieval over 20 loopback TCP
 // nodes, once with per-node batching (the default) and once with the
-// per-shard path, reporting wall time and RPCs per retrieval for both.
-// This is the benchmark CI tracks: the batched path must issue one get
-// RPC per node, not one per shard.
+// per-shard path, reporting wall time and RPCs per retrieval for both,
+// plus the whole-history read (RetrieveAll) on the batched path. This is
+// the benchmark CI tracks: the batched paths must issue one get RPC per
+// node, not one per shard, and RetrieveAll one probe round for the whole
+// history.
 func benchTCPRetrieve(ctx context.Context) (benchReport, error) {
 	report := benchReport{
 		Bench:       "tcp-retrieve",
-		Description: "(20,10) BasicSEC Retrieve(5) over 20 loopback TCP nodes: per-node batches vs per-shard RPCs",
+		Description: "(20,10) BasicSEC Retrieve(5) over 20 loopback TCP nodes: per-node batches vs per-shard RPCs; RetrieveAll(5) batched",
 		GoMaxProcs:  gomaxprocs(),
 	}
 	const n = 20
@@ -332,18 +334,27 @@ func benchTCPRetrieve(ctx context.Context) (benchReport, error) {
 	for _, mode := range []struct {
 		name    string
 		disable bool
+		all     bool // RetrieveAll(5) instead of Retrieve(5)
 	}{
-		{"batched", false},
-		{"per-shard", true},
+		{"batched", false, false},
+		{"per-shard", true, false},
+		{"retrieve-all", false, true},
 	} {
 		cluster := sec.NewCluster(nodes)
 		archive, size, err := chainArchive(ctx, cluster, mode.disable)
 		if err != nil {
 			return report, err
 		}
+		if mode.all {
+			size *= 5
+		}
 		cluster.ResetWireStats()
 		getsBefore, pingsBefore := sumRPCs()
 		iters, nsPerOp, err := measure(ctx, func() error {
+			if mode.all {
+				_, _, err := archive.RetrieveAllContext(ctx, 5)
+				return err
+			}
 			_, _, err := archive.RetrieveContext(ctx, 5)
 			return err
 		})

@@ -146,6 +146,11 @@ func TestBenchCompressReducesWireBytes(t *testing.T) {
 	}
 }
 
+// TestBenchTCPRetrieveReportsBatchedRPCs is the CI gate for the wire cost
+// of retrieval: batching must collapse per-shard RPCs, and the
+// whole-history read must cost one probe round and at most one get batch
+// per node, matching the committed bench/BENCH_tcp_retrieve.json (healthy
+// loopback RPC counts are deterministic).
 func TestBenchTCPRetrieveReportsBatchedRPCs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP benchmark in -short mode")
@@ -163,20 +168,15 @@ func TestBenchTCPRetrieveReportsBatchedRPCs(t *testing.T) {
 	if err := json.Unmarshal(raw, &report); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if len(report.Results) != 2 {
-		t.Fatalf("results = %d, want batched and per-shard", len(report.Results))
+	results := make(map[string]benchResult, len(report.Results))
+	for _, r := range report.Results {
+		results[r.Name] = r
 	}
-	var batched, perShard *benchResult
-	for i := range report.Results {
-		switch report.Results[i].Name {
-		case "batched":
-			batched = &report.Results[i]
-		case "per-shard":
-			perShard = &report.Results[i]
-		}
-	}
-	if batched == nil || perShard == nil {
-		t.Fatalf("missing modes in %+v", report.Results)
+	batched, okB := results["batched"]
+	perShard, okP := results["per-shard"]
+	all, okA := results["retrieve-all"]
+	if len(report.Results) != 3 || !okB || !okP || !okA {
+		t.Fatalf("results = %+v, want batched, per-shard and retrieve-all", report.Results)
 	}
 	// The wire-cost contract: the chain touches more shards than nodes, so
 	// batching must issue strictly fewer get RPCs than the per-shard path
@@ -187,6 +187,32 @@ func TestBenchTCPRetrieveReportsBatchedRPCs(t *testing.T) {
 	}
 	if batched.PingRPCsPerOp >= perShard.PingRPCsPerOp {
 		t.Errorf("batched path issued %.1f pings/op, per-shard %.1f", batched.PingRPCsPerOp, perShard.PingRPCsPerOp)
+	}
+	// The whole-history read is one prefetch over the 20 nodes: one ping
+	// and at most one get batch each.
+	const nodes = 20
+	if all.GetRPCsPerOp > nodes || all.PingRPCsPerOp > nodes {
+		t.Errorf("retrieve-all issued %.1f get RPCs and %.1f pings per op, want at most %d of each (one per node)",
+			all.GetRPCsPerOp, all.PingRPCsPerOp, nodes)
+	}
+	baseRaw, err := os.ReadFile(filepath.Join("..", "..", "bench", "BENCH_tcp_retrieve.json"))
+	if err != nil {
+		t.Fatalf("reading committed baseline (regenerate with `secbench -bench tcp-retrieve -benchout bench`): %v", err)
+	}
+	var baseline benchReport
+	if err := json.Unmarshal(baseRaw, &baseline); err != nil {
+		t.Fatalf("committed baseline is not valid JSON: %v", err)
+	}
+	for _, base := range baseline.Results {
+		got, ok := results[base.Name]
+		if !ok {
+			t.Errorf("run lacks the baseline row %q", base.Name)
+			continue
+		}
+		if got.GetRPCsPerOp != base.GetRPCsPerOp || got.PingRPCsPerOp != base.PingRPCsPerOp {
+			t.Errorf("%s: %.1f get RPCs and %.1f pings per op, committed baseline %.1f and %.1f; regenerate bench/BENCH_tcp_retrieve.json deliberately",
+				base.Name, got.GetRPCsPerOp, got.PingRPCsPerOp, base.GetRPCsPerOp, base.PingRPCsPerOp)
+		}
 	}
 }
 

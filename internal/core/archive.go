@@ -605,74 +605,25 @@ func (a *Archive) CachedLatest() ([]byte, bool) {
 
 // RetrieveAllContext reconstructs versions 1..l in order (the whole-
 // archive read of formula (4) when l = L), under the context's deadline
-// and cancellation.
+// and cancellation. The whole history is one read plan (historyPlan), so
+// every shard it needs is prefetched together: one liveness probe round
+// and one get batch per node for the entire history.
 func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, RetrievalStats, error) {
 	//lint:allow lockheld archive read lock held across retrieval by design; writers are rare and reads are concurrent under RLock
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var stats RetrievalStats
-	if l < 1 || l > len(a.entries) {
-		return nil, stats, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
-	}
-	plan, err := a.planChain(1)
+	steps, err := a.historyPlan(l)
 	if err != nil {
 		return nil, stats, err
 	}
-	// A backward walk to version 1 (Reversed SEC) materializes every
-	// intermediate version for free; keep them instead of re-reading.
-	materialized, err := a.materializeChain(ctx, plan, &stats)
+	mat, err := a.materialize(ctx, steps, &stats)
 	if err != nil {
 		return nil, stats, err
-	}
-	for j := 2; j <= l; j++ {
-		if materialized[j] != nil {
-			continue
-		}
-		e := a.entries[j-1]
-		base := a.baseOf(j)
-		switch {
-		case e.hasDelta && materialized[base] != nil:
-			d, read, err := a.readDelta(ctx, j, e.gamma, nil)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.add(read)
-			next, err := delta.Apply(materialized[base], d)
-			if err != nil {
-				return nil, stats, err
-			}
-			materialized[j] = next
-		case e.hasFull:
-			blocks, read, err := a.readFull(ctx, j, nil)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.add(read)
-			materialized[j] = blocks
-		case e.hasDelta:
-			// The delta's base is not in hand (a compaction rebase onto a
-			// later anchor): walk the version's own chain plan, keeping
-			// every version it materializes on the way.
-			plan, err := a.planChain(j)
-			if err != nil {
-				return nil, stats, err
-			}
-			walked, err := a.materializeChain(ctx, plan, &stats)
-			if err != nil {
-				return nil, stats, err
-			}
-			for v, blocks := range walked {
-				if materialized[v] == nil {
-					materialized[v] = blocks
-				}
-			}
-		default:
-			return nil, stats, fmt.Errorf("core: version %d has neither delta nor full object", j)
-		}
 	}
 	out := make([][]byte, l)
 	for j := 1; j <= l; j++ {
-		object, err := a.blocking.Join(materialized[j], a.entries[j-1].length)
+		object, err := a.blocking.Join(mat[j], a.entries[j-1].length)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -688,70 +639,137 @@ func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *Retrie
 	if err != nil {
 		return nil, err
 	}
-	materialized, err := a.materializeChain(ctx, plan, stats)
+	mat, err := a.materialize(ctx, plan.steps, stats)
 	if err != nil {
 		return nil, err
 	}
-	blocks, ok := materialized[l]
-	if !ok {
-		return nil, fmt.Errorf("core: chain walk did not reach version %d", l)
-	}
-	return blocks, nil
+	return mat[l], nil
 }
 
-// materializeChain executes a chain plan, returning every version the walk
-// passes through (keyed by version number). XOR deltas are self-inverse, so
-// the same Apply advances forward chains and rewinds backward ones. All
-// shard reads of the chain are prefetched up front as one batch per node;
-// the per-object readers consume the prefetched rows and fetch more only
-// where the prefetch fell short.
-func (a *Archive) materializeChain(ctx context.Context, plan chainPlan, stats *RetrievalStats) (map[int][][]byte, error) {
-	sets := a.prefetchChain(ctx, plan)
-	current, read, err := a.readFull(ctx, plan.anchor, sets[fullID(a.cfg.Name, plan.anchor)])
-	if err != nil {
+// readStep is one object read of a read plan: the full codeword of a
+// version, or a version's delta applied to a version already in hand. XOR
+// deltas are self-inverse, so a delta step runs forward (x_base + z_j =
+// x_j) or backward (x_j + z_j = x_base) alike.
+type readStep struct {
+	version int  // version whose object is read
+	delta   bool // the version's delta codeword (else its full codeword)
+	from    int  // version the delta is applied to (delta steps only)
+	to      int  // version the step materializes
+	// cache marks a chain-walk step: the version it reaches enters the
+	// decoded-version read cache.
+	cache bool
+}
+
+// stepObjectID names the stored object a read step reads.
+func (a *Archive) stepObjectID(s readStep) string {
+	if s.delta {
+		return a.deltaObjectID(s.version)
+	}
+	return fullID(a.cfg.Name, s.version)
+}
+
+// historyPlan lists the object reads that materialize versions 1..l: the
+// chain walk to version 1, then each later version not yet in hand - by
+// its delta when the delta's base is in hand, by its full codeword when it
+// has one, and otherwise (a compaction rebase onto a later anchor) by its
+// own chain walk. Chain-walk steps enter the read cache, as a Retrieve's
+// would; versions reached one delta at a time do not, so a whole-history
+// read does not flush the cache. RetrieveAllContext executes this plan and
+// PlannedReadsAll prices it.
+func (a *Archive) historyPlan(l int) ([]readStep, error) {
+	if l < 1 || l > len(a.entries) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
+	}
+	covered := make([]bool, len(a.entries)+1)
+	var steps []readStep
+	walk := func(v int) error {
+		plan, err := a.planChain(v)
+		if err != nil {
+			return err
+		}
+		for _, s := range plan.steps {
+			covered[s.to] = true
+		}
+		steps = append(steps, plan.steps...)
+		return nil
+	}
+	if err := walk(1); err != nil {
 		return nil, err
 	}
-	stats.add(read)
-	ver := plan.anchor
-	materialized := map[int][][]byte{ver: current}
-	for _, j := range plan.deltas {
+	for j := 2; j <= l; j++ {
+		if covered[j] {
+			continue
+		}
 		e := a.entries[j-1]
-		d, read, err := a.readDelta(ctx, j, e.gamma, sets[a.deltaObjectID(j)])
+		switch base := a.baseOf(j); {
+		case e.hasDelta && covered[base]:
+			steps = append(steps, readStep{version: j, delta: true, from: base, to: j})
+		case e.hasFull:
+			steps = append(steps, readStep{version: j, to: j})
+		case e.hasDelta:
+			if err := walk(j); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("core: version %d has neither delta nor full object", j)
+		}
+		covered[j] = true
+	}
+	return steps, nil
+}
+
+// materialize executes a read plan, returning the blocks of every version
+// it reaches, indexed by version number. All shard reads of the plan are
+// prefetched up front as one batch per node; the per-object readers
+// consume the prefetched rows and fetch more only where the prefetch fell
+// short. Versions reached by caching steps enter the read cache in plan
+// order - the anchor first, then each version as the walk reaches it - so
+// identical request sequences leave identical caches.
+func (a *Archive) materialize(ctx context.Context, steps []readStep, stats *RetrievalStats) ([][][]byte, error) {
+	sets := a.prefetch(ctx, steps)
+	mat := make([][][]byte, len(a.entries)+1)
+	for _, s := range steps {
+		blocks, err := a.applyStep(ctx, s, mat, sets[a.stepObjectID(s)], stats)
+		if err != nil {
+			return nil, err
+		}
+		mat[s.to] = blocks
+		if s.cache && a.rcache != nil {
+			// Cached blocks are shared read-only; decodes and delta
+			// application always fresh-allocate.
+			a.rcache.put(s.to, blocks, a.entries[s.to-1].length)
+		}
+	}
+	return mat, nil
+}
+
+// applyStep performs one read step against the versions already in hand,
+// returning the blocks of the version it reaches. A nil set reads the
+// object from scratch.
+func (a *Archive) applyStep(ctx context.Context, s readStep, mat [][][]byte, set *shardSet, stats *RetrievalStats) ([][]byte, error) {
+	if !s.delta {
+		blocks, read, err := a.readFull(ctx, s.version, set)
 		if err != nil {
 			return nil, err
 		}
 		stats.add(read)
-		current, err = delta.Apply(current, d)
-		if err != nil {
-			return nil, err
-		}
-		switch b := a.baseOf(j); ver {
-		case b:
-			ver = j // forward: applying z_j to x_base yields x_j
-		case j:
-			ver = b // backward: applying z_j to x_j yields x_base
-		default:
-			return nil, fmt.Errorf("core: chain plan applies delta %d at version %d", j, ver)
-		}
-		materialized[ver] = current
+		return blocks, nil
 	}
-	if a.rcache != nil {
-		// Keep every version the walk decoded: the requested version and
-		// all chain prefixes on the way. Cached blocks are shared
-		// read-only; decodes and delta application always fresh-allocate.
-		for v, blocks := range materialized {
-			a.rcache.put(v, blocks, a.entries[v-1].length)
-		}
+	if mat[s.from] == nil {
+		return nil, fmt.Errorf("core: read plan applies delta %d before version %d is in hand", s.version, s.from)
 	}
-	return materialized, nil
+	d, read, err := a.readDelta(ctx, s.version, set)
+	if err != nil {
+		return nil, err
+	}
+	stats.add(read)
+	return delta.Apply(mat[s.from], d)
 }
 
 // chainPlan describes how to reach a version from a fully stored anchor.
 type chainPlan struct {
-	anchor int   // version read in full
-	deltas []int // versions whose deltas are applied, in order
-	cost   int   // planned node reads (formula (3))
-	hops   int   // number of delta applications (the chain depth)
+	steps []readStep // the anchor's full read, then each delta applied
+	cost  int        // planned node reads (formula (3))
 }
 
 // planChain finds the cheapest way to materialize version l. Deltas form a
@@ -777,19 +795,19 @@ func (a *Archive) planChain(l int) (chainPlan, error) {
 	if dist[l] == unreachedCost {
 		return chainPlan{}, fmt.Errorf("core: version %d unreachable from any full version", l)
 	}
-	plan := chainPlan{cost: dist[l], hops: hops[l]}
-	deltas := make([]int, 0, hops[l])
+	// Walk the path back from l to its anchor, then reverse it into read
+	// order. Every step of a chain walk enters the read cache.
+	steps := make([]readStep, 0, hops[l]+1)
 	v := l
 	for via[v] != 0 {
-		deltas = append(deltas, via[v])
+		steps = append(steps, readStep{version: via[v], delta: true, from: prev[v], to: v, cache: true})
 		v = prev[v]
 	}
-	plan.anchor = v
-	for i, j := 0, len(deltas)-1; i < j; i, j = i+1, j-1 {
-		deltas[i], deltas[j] = deltas[j], deltas[i]
+	steps = append(steps, readStep{version: v, to: v, cache: true})
+	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
+		steps[i], steps[j] = steps[j], steps[i]
 	}
-	plan.deltas = deltas
-	return plan, nil
+	return chainPlan{steps: steps, cost: dist[l]}, nil
 }
 
 // unreachedCost marks versions the planner could not reach.
@@ -890,64 +908,24 @@ func (a *Archive) PlannedReads(l int) (int, error) {
 }
 
 // PlannedReadsAll returns the number of node reads formula (4) predicts for
-// retrieving versions 1..l, assuming every node is live.
+// retrieving versions 1..l, assuming every node is live: the price of the
+// read plan RetrieveAllContext executes.
 func (a *Archive) PlannedReadsAll(l int) (int, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if l < 1 || l > len(a.entries) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
-	}
-	plan, err := a.planChain(1)
+	steps, err := a.historyPlan(l)
 	if err != nil {
 		return 0, err
 	}
-	total := plan.cost
-	covered := a.materializedVersions(plan)
-	for j := 2; j <= l; j++ {
-		if covered[j] {
-			continue
-		}
-		e := a.entries[j-1]
-		switch {
-		case e.hasDelta && covered[a.baseOf(j)]:
-			total += a.plannedEntryReads(e)
-			covered[j] = true
-		case e.hasFull:
+	total := 0
+	for _, s := range steps {
+		if s.delta {
+			total += a.plannedEntryReads(a.entries[s.version-1])
+		} else {
 			total += a.cfg.K
-			covered[j] = true
-		case e.hasDelta:
-			// The delta's base is not on the walk (a compaction rebase onto
-			// a later anchor): the version costs its own chain plan, which
-			// materializes the base and anchor as side effects.
-			plan, err := a.planChain(j)
-			if err != nil {
-				return 0, err
-			}
-			total += plan.cost
-			for v := range a.materializedVersions(plan) {
-				covered[v] = true
-			}
-		default:
-			return 0, fmt.Errorf("core: version %d has neither delta nor full object", j)
 		}
 	}
 	return total, nil
-}
-
-// materializedVersions returns the set of versions a chain walk passes
-// through.
-func (a *Archive) materializedVersions(p chainPlan) map[int]bool {
-	covered := map[int]bool{p.anchor: true}
-	ver := p.anchor
-	for _, j := range p.deltas {
-		if b := a.baseOf(j); ver == b {
-			ver = j
-		} else {
-			ver = b
-		}
-		covered[ver] = true
-	}
-	return covered
 }
 
 // shardSet accumulates fetched shard rows across re-plan attempts, so a
@@ -960,14 +938,14 @@ type shardSet struct {
 	// accounting (every fetched shard is eventually used or was needed by
 	// a plan at the time, so all of them are real retrieval I/O).
 	reads int
-	// sparseRows records the sparse read plan the chain prefetcher chose
+	// sparseRows records the sparse rows the read plan's prefetch chose
 	// for a delta, so readDelta can decode straight from the prefetched
 	// rows without re-probing liveness.
 	sparseRows []int
 	// hedges counts the speculative reads issued for this object because
 	// a node batch outlived the hedge delay.
 	hedges int
-	// err records the last per-row error of the chain prefetch, so a
+	// err records the last per-row error of the read plan's prefetch, so a
 	// reader that must abort (cancelled context) can surface the failure
 	// with its full node/shard provenance instead of a bare ctx error.
 	err error
@@ -1048,109 +1026,86 @@ func (s *shardSet) selectRows(rows []int) ([][]byte, bool) {
 	return shards, true
 }
 
-// prefetchChain plans every shard read of a chain walk up front and
-// issues one batch per node covering all objects in the chain: node
-// liveness is probed concurrently (once per node, not once per row per
-// object), each object's read rows are chosen against that snapshot, and
-// a single cluster batch fetches everything. The result is one get RPC
-// per node for the whole retrieval in the healthy case. Prefetching is
-// purely a wire optimization: rows that fail are marked dead in their
-// object's shard set and the per-object readers top up or re-plan exactly
-// as they would have fetched in the first place, so read counts are
-// unchanged.
-func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]*shardSet {
+// prefetch plans every shard read of a read plan up front and issues one
+// batch per node covering all of its objects: node liveness is probed once
+// per node, concurrently (probeNodes), each object's read rows are chosen
+// against that snapshot, and a single cluster batch fetches everything.
+// The result is one get RPC per node for the whole plan in the healthy
+// case - one version's chain walk, a whole history, or compaction's pass
+// over every version alike. The shards held in memory are at most the
+// plan's planned reads x BlockSize. Prefetching is purely a wire
+// optimization: rows that fail are marked dead in their object's shard set
+// and the per-object readers top up or re-plan exactly as they would have
+// fetched in the first place, so read counts are unchanged. An object a
+// plan reads twice shares one shard set.
+func (a *Archive) prefetch(ctx context.Context, steps []readStep) map[string]*shardSet {
 	if a.cfg.DisableBatchIO {
 		return nil
 	}
 	type objPlan struct {
 		id      string
 		version int
-		rows    []int
+		code    codec
+		gamma   int   // sparsity of a plain delta (0 for fulls and CDEC deltas)
+		rows    []int // rows the object's reader would read
 		sparse  []int // non-nil when rows is a sparse read plan
-		n       int   // shard rows of the object's code, for hedged spares
-		k       int   // data rows that decode the object's code (gamma for CDEC)
 	}
-	// Probe each distinct placement node once, concurrently.
+	// The distinct objects of the plan, and every node holding one of
+	// their rows. Zero deltas read nothing; a delta whose code cannot be
+	// built is left to its reader, which surfaces the error.
+	var objs []objPlan
 	var nodes []int
-	seen := make(map[int]bool)
-	addNodes := func(code codec, version int) {
-		for row := 0; row < code.N(); row++ {
-			nd := a.cfg.Placement.NodeFor(version-1, row)
-			if !seen[nd] {
-				seen[nd] = true
-				nodes = append(nodes, nd)
-			}
-		}
-	}
-	addNodes(a.code, plan.anchor)
-	for _, j := range plan.deltas {
-		e := a.entries[j-1]
-		if e.gamma == 0 {
+	seen := make(map[string]bool)
+	for _, st := range steps {
+		o := objPlan{id: a.stepObjectID(st), version: st.version, code: a.code}
+		if seen[o.id] {
 			continue
 		}
-		if code, err := a.entryDeltaCode(e); err == nil {
-			addNodes(code, j)
-		}
-	}
-	avail := make([]bool, len(nodes))
-	var wg sync.WaitGroup
-	for i, nd := range nodes {
-		wg.Add(1)
-		go func(i, nd int) {
-			defer wg.Done()
-			avail[i] = a.cluster.Available(ctx, nd)
-		}(i, nd)
-	}
-	wg.Wait()
-	up := make(map[int]bool, len(nodes))
-	for i, nd := range nodes {
-		up[nd] = avail[i]
-	}
-	liveFor := func(code codec, version int) []int {
-		rows := make([]int, 0, code.N())
-		for row := 0; row < code.N(); row++ {
-			if up[a.cfg.Placement.NodeFor(version-1, row)] {
-				rows = append(rows, row)
+		if st.delta {
+			e := a.entries[st.version-1]
+			code, err := a.entryDeltaCode(e)
+			if e.gamma == 0 || err != nil {
+				continue
+			}
+			o.code = code
+			if !e.compressed {
+				o.gamma = e.gamma
 			}
 		}
-		return rows
+		seen[o.id] = true
+		objs = append(objs, o)
+		for row := 0; row < o.code.N(); row++ {
+			nodes = append(nodes, a.cfg.Placement.NodeFor(st.version-1, row))
+		}
 	}
-	// Choose the rows each object's reader would read. Objects whose live
-	// set is too small are skipped here; their reader reports the proper
-	// error (or catches a node that came back since the probe).
+	up := a.probeNodes(ctx, nodes)
+	// Choose the rows each object's reader would read: a plain delta's
+	// sparse plan when the code admits one, else the first K live rows of
+	// the object's code (data rows first on systematic fulls and CDEC
+	// deltas, whose K is their gamma). Objects whose live set is too small
+	// are skipped here; their reader reports the proper error (or catches
+	// a node that came back since the probe).
 	var plans []objPlan
-	if live := liveFor(a.code, plan.anchor); len(live) >= a.cfg.K {
-		if a.code.Systematic() {
-			live = preferSystematic(live, a.cfg.K)
-		}
-		plans = append(plans, objPlan{id: fullID(a.cfg.Name, plan.anchor), version: plan.anchor, rows: live[:a.cfg.K], n: a.code.N(), k: a.cfg.K})
-	}
-	for _, j := range plan.deltas {
-		e := a.entries[j-1]
-		if e.gamma == 0 {
-			continue
-		}
-		code, err := a.entryDeltaCode(e)
-		if err != nil {
-			continue // the reader surfaces the error
-		}
-		live := liveFor(code, j)
-		id := a.deltaObjectID(j)
-		if e.compressed {
-			// A compressed codeword decodes from any gamma of its rows;
-			// there is no separate sparse plan.
-			if len(live) >= code.K() {
-				if code.Systematic() {
-					live = preferSystematic(live, code.K())
-				}
-				plans = append(plans, objPlan{id: id, version: j, rows: live[:code.K()], n: code.N(), k: code.K()})
+	for _, o := range objs {
+		live := make([]int, 0, o.code.N())
+		for row := 0; row < o.code.N(); row++ {
+			if up[a.cfg.Placement.NodeFor(o.version-1, row)] {
+				live = append(live, row)
 			}
-			continue
 		}
-		if rows := code.SparseReadRows(live, e.gamma); rows != nil {
-			plans = append(plans, objPlan{id: id, version: j, rows: rows, sparse: rows, n: code.N(), k: a.cfg.K})
-		} else if len(live) >= a.cfg.K {
-			plans = append(plans, objPlan{id: id, version: j, rows: live[:a.cfg.K], n: code.N(), k: a.cfg.K})
+		k := o.code.K()
+		if o.gamma > 0 {
+			if rows := o.code.SparseReadRows(live, o.gamma); rows != nil {
+				o.rows, o.sparse = rows, rows
+				plans = append(plans, o)
+				continue
+			}
+		} else if o.code.Systematic() {
+			live = preferSystematic(live, k)
+		}
+		if len(live) >= k {
+			o.rows = live[:k]
+			plans = append(plans, o)
 		}
 	}
 	if len(plans) == 0 {
@@ -1200,7 +1155,7 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 	// sparse plan was hedged away).
 	satisfied := func(p objPlan) bool {
 		s := sets[p.id]
-		if len(s.data) >= p.k {
+		if len(s.data) >= p.code.K() {
 			return true
 		}
 		_, ok := s.selectRows(p.rows)
@@ -1217,8 +1172,8 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 			for _, r := range p.rows {
 				planned[r] = true
 			}
-			need := p.k - len(s.data)
-			for row := 0; row < p.n && need > 0; row++ {
+			need := p.code.K() - len(s.data)
+			for row := 0; row < p.code.N() && need > 0; row++ {
 				if planned[row] || s.dead[row] {
 					continue
 				}
@@ -1251,7 +1206,7 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 // readFull reads and decodes a fully stored version. Reads are planned per
 // node and issued as one batch per node; rows that fail are marked dead
 // and only the deficit is re-fetched on the next attempt. A non-nil set
-// carries rows already prefetched by the chain planner. A done context
+// carries rows the read plan's prefetch already fetched. A done context
 // aborts the re-plan loop immediately - cancellation is not a node
 // failure, so no further liveness probing or re-planning is worth doing.
 func (a *Archive) readFull(ctx context.Context, version int, set *shardSet) ([][]byte, ObjectRead, error) {
@@ -1320,13 +1275,15 @@ func chainAbort(ctx context.Context, lastErr error) error {
 // readDelta reads and decodes the delta of a version, using a sparse read
 // when the code admits one from the live shards. Shards fetched by a
 // sparse attempt that could not complete are kept and count toward the
-// full read it falls back to. A non-nil set carries rows already
-// prefetched by the chain planner (and, for sparse plans, which rows they
+// full read it falls back to. A non-nil set carries rows the read plan's
+// prefetch already fetched (and, for sparse plans, which rows they
 // are), so the healthy path decodes without any further cluster traffic.
-func (a *Archive) readDelta(ctx context.Context, version, gamma int, set *shardSet) ([][]byte, ObjectRead, error) {
-	if e := a.entries[version-1]; e.compressed {
+func (a *Archive) readDelta(ctx context.Context, version int, set *shardSet) ([][]byte, ObjectRead, error) {
+	e := a.entries[version-1]
+	if e.compressed {
 		return a.readCompressedDelta(ctx, version, e, set)
 	}
+	gamma := e.gamma
 	if gamma == 0 {
 		// Nothing changed: the delta is identically zero, no reads
 		// needed.
@@ -1344,7 +1301,6 @@ func (a *Archive) readDelta(ctx context.Context, version, gamma int, set *shardS
 	lastErr := set.err
 	trySparse := true
 	if planned := set.sparseRows; planned != nil {
-		set.sparseRows = nil
 		if shards, ok := set.selectRows(planned); ok {
 			blocks, err := a.deltaCode.DecodeSparse(planned, shards, gamma)
 			if err == nil {
@@ -1436,7 +1392,6 @@ func (a *Archive) readCompressedDelta(ctx context.Context, version int, e entry,
 	if set == nil {
 		set = newShardSet()
 	}
-	set.sparseRows = nil // compressed reads have no sparse plan
 	lastErr := set.err
 	for attempt := 0; attempt < readAttempts; attempt++ {
 		if err := chainAbort(ctx, lastErr); err != nil {
@@ -1543,18 +1498,55 @@ func (a *Archive) writeRows(ctx context.Context, id string, version int, rows []
 }
 
 // liveRows returns the shard rows of an object whose nodes are available,
-// skipping rows already known dead this retrieval.
+// skipping rows already known dead this retrieval. It is the readers'
+// re-plan probe: one probeNodes round over the object's placement nodes.
 func (a *Archive) liveRows(ctx context.Context, code codec, version int, dead map[int]bool) []int {
 	rows := make([]int, 0, code.N())
+	nodes := make([]int, 0, code.N())
 	for row := 0; row < code.N(); row++ {
-		if dead[row] {
-			continue
-		}
-		if a.cluster.Available(ctx, a.cfg.Placement.NodeFor(version-1, row)) {
+		if !dead[row] {
 			rows = append(rows, row)
+			nodes = append(nodes, a.cfg.Placement.NodeFor(version-1, row))
 		}
 	}
-	return rows
+	up := a.probeNodes(ctx, nodes)
+	live := rows[:0]
+	for i, row := range rows {
+		if up[nodes[i]] {
+			live = append(live, row)
+		}
+	}
+	return live
+}
+
+// probeNodes probes each distinct node of nodes once, concurrently,
+// returning which answered. It is the read path's one liveness probe: a
+// plan's prefetch and the readers' re-plans (liveRows) both go through
+// it, so a probe round costs one ping per node and the slowest node's
+// latency, not their sum.
+func (a *Archive) probeNodes(ctx context.Context, nodes []int) map[int]bool {
+	up := make(map[int]bool, len(nodes))
+	var distinct []int
+	for _, nd := range nodes {
+		if _, ok := up[nd]; !ok {
+			up[nd] = false
+			distinct = append(distinct, nd)
+		}
+	}
+	avail := make([]bool, len(distinct))
+	var wg sync.WaitGroup
+	for i, nd := range distinct {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			avail[i] = a.cluster.Available(ctx, nd)
+		}()
+	}
+	wg.Wait()
+	for i, nd := range distinct {
+		up[nd] = avail[i]
+	}
+	return up
 }
 
 // writeObject encodes blocks with the given code and stores every shard,

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -198,4 +199,176 @@ func TestMixedClusterBatchedArchive(t *testing.T) {
 		t.Error("post-scrub retrieval mismatch")
 	}
 	_ = servers
+}
+
+// historyOverTCP commits a 16-version (12,10) BasicSEC history to an
+// archive over twelve loopback TCP nodes, each delta touching 1-3 blocks.
+// It returns the archive, the committed versions, the backing nodes and
+// their servers.
+func historyOverTCP(t *testing.T) (*core.Archive, [][]byte, []*store.MemNode, []*transport.Server) {
+	t.Helper()
+	mems := make([]*store.MemNode, 12)
+	backing := make([]store.Node, len(mems))
+	for i := range mems {
+		mems[i] = store.NewMemNode(fmt.Sprintf("mem-%d", i))
+		backing[i] = mems[i]
+	}
+	cluster, servers := remoteCluster(t, backing)
+	cfg := testConfig(core.BasicSEC, erasure.NonSystematicCauchy)
+	cfg.N, cfg.K, cfg.BlockSize = 12, 10, 64
+	a, err := core.New(cfg, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	object := make([]byte, a.Capacity())
+	rng.Read(object)
+	var history [][]byte
+	for v := 1; v <= 16; v++ {
+		if v > 1 {
+			object = editBlocks(object, cfg.BlockSize, rng.Perm(cfg.K)[:1+rng.Intn(3)]...)
+		}
+		mustCommit(t, a, object)
+		history = append(history, object)
+	}
+	return a, history, mems, servers
+}
+
+// retrieveAllAccounted runs RetrieveAll over the whole history and checks
+// it byte for byte against the committed versions, and the retrieval's
+// read accounting against the node servers' own shard-read counts. It
+// returns the stats and each server's request counts for the call.
+func retrieveAllAccounted(t *testing.T, a *core.Archive, history [][]byte, mems []*store.MemNode, servers []*transport.Server) (core.RetrievalStats, []transport.RequestStats) {
+	t.Helper()
+	before := make([]transport.RequestStats, len(servers))
+	readsBefore := uint64(0)
+	for i, s := range servers {
+		before[i] = s.RequestStats()
+		readsBefore += mems[i].Stats().Reads
+	}
+	got, stats, err := a.RetrieveAllContext(t.Context(), len(history))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range history {
+		if !bytes.Equal(got[i], history[i]) {
+			t.Errorf("version %d differs from the committed bytes", i+1)
+		}
+	}
+	delta := make([]transport.RequestStats, len(servers))
+	readsAfter := uint64(0)
+	for i, s := range servers {
+		st := s.RequestStats()
+		delta[i] = transport.RequestStats{
+			Gets:       st.Gets - before[i].Gets,
+			Pings:      st.Pings - before[i].Pings,
+			GetBatches: st.GetBatches - before[i].GetBatches,
+		}
+		readsAfter += mems[i].Stats().Reads
+	}
+	if nodeReads := readsAfter - readsBefore; nodeReads != uint64(stats.NodeReads) {
+		t.Errorf("nodes served %d shard reads, RetrievalStats.NodeReads = %d", nodeReads, stats.NodeReads)
+	}
+	return stats, delta
+}
+
+// checkOneRoundTrip asserts the whole-history read cost one liveness ping
+// and at most one get batch per node, and no single-shard gets.
+func checkOneRoundTrip(t *testing.T, reqs []transport.RequestStats) {
+	t.Helper()
+	touched := 0
+	for i, r := range reqs {
+		if r.GetBatches > 1 || r.Pings > 1 || r.Gets != 0 {
+			t.Errorf("node %d served %d get batches, %d pings, %d single gets; want at most one batch and one ping",
+				i, r.GetBatches, r.Pings, r.Gets)
+		}
+		touched += int(r.GetBatches)
+	}
+	if touched == 0 {
+		t.Error("no node served a get batch")
+	}
+}
+
+// TestRemoteRetrieveAllOneRoundTrip is the whole-history wire contract:
+// RetrieveAll of a 16-version (12,10) history over TCP fetches every
+// object it needs in one prefetch - one ping and at most one get batch per
+// node - while reading exactly the shards formula (4) plans.
+func TestRemoteRetrieveAllOneRoundTrip(t *testing.T) {
+	a, history, mems, servers := historyOverTCP(t)
+	stats, reqs := retrieveAllAccounted(t, a, history, mems, servers)
+	checkOneRoundTrip(t, reqs)
+	planned, err := a.PlannedReadsAll(len(history))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.NodeReads != planned {
+		t.Errorf("NodeReads = %d, PlannedReadsAll = %d", stats.NodeReads, planned)
+	}
+	if stats.SparseReads != len(history)-1 || stats.FullReads != 1 {
+		t.Errorf("stats = %+v, want one full read and %d sparse deltas", stats, len(history)-1)
+	}
+}
+
+// TestRemoteRetrieveAllDegraded reads the history with one node down and
+// one shard of a planned sparse read deleted: the prefetch plans around
+// the dead node, the delta's reader re-plans around the lost row, and the
+// history still comes back byte-identical with the nodes' read counts
+// matching the retrieval's.
+func TestRemoteRetrieveAllDegraded(t *testing.T) {
+	a, history, mems, servers := historyOverTCP(t)
+	mems[0].SetFailed(true)
+	// With row 0 down, the sparse plan of a non-systematic Cauchy delta
+	// is its first 2*gamma live rows, so row 1 is always in it.
+	if err := mems[1].Delete(t.Context(), store.ShardID{Object: deltaID(a.Config().Name, 9), Row: 1}); err != nil {
+		t.Fatal(err)
+	}
+	stats, reqs := retrieveAllAccounted(t, a, history, mems, servers)
+	// The dead node is probed but sent nothing. The lost row costs one
+	// re-plan of its delta: one more probe round over that delta's nodes
+	// and one top-up batch, so some node serves a second batch.
+	topUps := 0
+	for i, r := range reqs {
+		if r.Pings > 2 || r.GetBatches > 2 || r.Gets != 0 {
+			t.Errorf("node %d served %d get batches, %d pings, %d single gets", i, r.GetBatches, r.Pings, r.Gets)
+		}
+		if r.GetBatches == 2 {
+			topUps++
+		}
+	}
+	if reqs[0].GetBatches != 0 {
+		t.Errorf("failed node 0 was sent %d get batches", reqs[0].GetBatches)
+	}
+	if topUps == 0 {
+		t.Error("no node served a top-up batch: the deleted row was never planned")
+	}
+	planned, err := a.PlannedReadsAll(len(history))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.NodeReads != planned {
+		t.Errorf("NodeReads = %d, want the planned %d (the lost row is replaced, not double-read)", stats.NodeReads, planned)
+	}
+}
+
+// TestRemoteRetrieveAllCompacted reads the history of a compacted archive,
+// whose versions hang off several anchors (promoted checkpoints and deltas
+// rebased onto them): still one round trip, formula (4)'s reads, and
+// byte-identical versions.
+func TestRemoteRetrieveAllCompacted(t *testing.T) {
+	a, history, mems, servers := historyOverTCP(t)
+	if _, err := a.CompactToContext(t.Context(), 2); err != nil {
+		t.Fatal(err)
+	}
+	stats, reqs := retrieveAllAccounted(t, a, history, mems, servers)
+	checkOneRoundTrip(t, reqs)
+	if stats.FullReads < 2 {
+		t.Errorf("stats = %+v, want reads from several anchors", stats)
+	}
+	planned, err := a.PlannedReadsAll(len(history))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.NodeReads != planned {
+		t.Errorf("NodeReads = %d, PlannedReadsAll = %d", stats.NodeReads, planned)
+	}
 }

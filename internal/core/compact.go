@@ -196,7 +196,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 	}
 
 	var stats RetrievalStats
-	mat, err := a.materializeAllLocked(ctx, &stats)
+	mat, err := a.materialize(ctx, a.compactionPlan(), &stats)
 	if err != nil {
 		return info, fmt.Errorf("core: compaction aborted while materializing the chain: %w", err)
 	}
@@ -482,13 +482,13 @@ func (a *Archive) ChainStats() (depths, plannedReads []int, err error) {
 	return allDepths[1:], dist[1 : L+1], nil
 }
 
-// materializeAllLocked reconstructs every version's blocks with the
+// compactionPlan lists the reads that materialize every version with the
 // fewest reads a single pass can manage: each full codeword is read once,
 // then versions spread outward from the anchors one delta application per
 // step (a breadth-first walk over the delta edges), so the total cost is
-// one full read per anchor plus one delta read per stored delta - the same
-// reads RetrieveAll(L) performs. Caller holds at least a read lock.
-func (a *Archive) materializeAllLocked(ctx context.Context, stats *RetrievalStats) (map[int][][]byte, error) {
+// one full read per anchor plus one delta read per stored delta. Caller
+// has checked that every version is reachable (chainDepths).
+func (a *Archive) compactionPlan() []readStep {
 	L := len(a.entries)
 	type edge struct{ to, via int }
 	adj := make([][]edge, L+1)
@@ -500,42 +500,27 @@ func (a *Archive) materializeAllLocked(ctx context.Context, stats *RetrievalStat
 		adj[b] = append(adj[b], edge{to: j, via: j})
 		adj[j] = append(adj[j], edge{to: b, via: j})
 	}
-	mat := make(map[int][][]byte, L)
+	reached := make([]bool, L+1)
+	var steps []readStep
 	var queue []int
 	for v := 1; v <= L; v++ {
-		if !a.entries[v-1].hasFull {
-			continue
+		if a.entries[v-1].hasFull {
+			steps = append(steps, readStep{version: v, to: v})
+			reached[v] = true
+			queue = append(queue, v)
 		}
-		blocks, read, err := a.readFull(ctx, v, nil)
-		if err != nil {
-			return nil, err
-		}
-		stats.add(read)
-		mat[v] = blocks
-		queue = append(queue, v)
 	}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
 		for _, e := range adj[u] {
-			if mat[e.to] != nil {
+			if reached[e.to] {
 				continue
 			}
-			d, read, err := a.readDelta(ctx, e.via, a.entries[e.via-1].gamma, nil)
-			if err != nil {
-				return nil, err
-			}
-			stats.add(read)
-			blocks, err := delta.Apply(mat[u], d)
-			if err != nil {
-				return nil, err
-			}
-			mat[e.to] = blocks
+			steps = append(steps, readStep{version: e.via, delta: true, from: u, to: e.to})
+			reached[e.to] = true
 			queue = append(queue, e.to)
 		}
 	}
-	if len(mat) != L {
-		return nil, fmt.Errorf("core: %d of %d versions unreachable from any full version", L-len(mat), L)
-	}
-	return mat, nil
+	return steps
 }

@@ -101,6 +101,48 @@ func TestHedgedChainRetrievalByteIdentical(t *testing.T) {
 	}
 }
 
+// TestHedgedRetrieveAllByteIdentical reads a whole history while node 0
+// straggles: the history's one prefetch is hedged as a whole, so every
+// object decodes from spare rows without waiting on the straggler.
+func TestHedgedRetrieveAllByteIdentical(t *testing.T) {
+	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
+	cfg.HedgeDelay = 10 * time.Millisecond
+	cluster, chaos := chaosCluster(cfg.N)
+	a, err := New(cfg, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := make([]byte, a.Capacity())
+	rand.New(rand.NewSource(4)).Read(object)
+	var history [][]byte
+	for v := 0; v < 6; v++ {
+		if v > 0 {
+			object = editBlocks(object, cfg.BlockSize, v%cfg.K)
+		}
+		mustCommit(t, a, object)
+		history = append(history, object)
+	}
+
+	const straggle = 500 * time.Millisecond
+	slowReads(chaos, straggle)
+	start := time.Now()
+	got, stats, err := a.RetrieveAll(len(history))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed >= straggle {
+		t.Errorf("RetrieveAll took %v, waited on the %v straggler", elapsed, straggle)
+	}
+	for i := range history {
+		if !bytes.Equal(got[i], history[i]) {
+			t.Errorf("version %d: wrong bytes under hedging", i+1)
+		}
+	}
+	if stats.Hedges == 0 {
+		t.Error("straggling node produced no hedged reads")
+	}
+}
+
 func TestHedgingIdleOnHealthyCluster(t *testing.T) {
 	// With hedging enabled but no straggler, the read accounting is
 	// identical to a plain archive: hedging must not change the paper's
