@@ -58,6 +58,13 @@ type benchResult struct {
 	// benchmark's write paths.
 	Busy      int64 `json:"busy,omitempty"`
 	Conflicts int64 `json:"conflicts,omitempty"`
+	// Manifest accounting per commit, for the manifest benchmark: bytes of
+	// the local manifest file, manifest bytes replicated to the nodes, the
+	// put RPCs carrying the replicas, and manifest encodes.
+	ManifestBytesPerOp        float64 `json:"manifest_bytes_per_op,omitempty"`
+	ManifestReplicaBytesPerOp float64 `json:"manifest_replica_bytes_per_op,omitempty"`
+	ManifestPutRPCsPerOp      float64 `json:"manifest_put_rpcs_per_op,omitempty"`
+	ManifestEncodesPerOp      float64 `json:"manifest_encodes_per_op,omitempty"`
 }
 
 // benchNode attributes served RPCs and wire bytes to one storage node,
@@ -85,7 +92,7 @@ type benchReport struct {
 
 // benchIDs lists the available benchmarks in run order.
 func benchIDs() []string {
-	return []string{"encode", "retrieve", "tcp-retrieve", "compress", "gateway", "load"}
+	return []string{"encode", "retrieve", "tcp-retrieve", "compress", "gateway", "load", "manifest"}
 }
 
 func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
@@ -126,6 +133,8 @@ func runBenchmarks(ctx context.Context, id, outDir string, out io.Writer) error 
 			report, err = benchGateway(ctx)
 		case "load":
 			report, err = benchLoad(ctx)
+		case "manifest":
+			report, err = benchManifest(ctx)
 		}
 		if err != nil {
 			return fmt.Errorf("bench %s: %w", b, err)
@@ -149,6 +158,12 @@ func runBenchmarks(ctx context.Context, id, outDir string, out io.Writer) error 
 			}
 			if r.GetRPCsPerOp > 0 {
 				if _, err := fmt.Fprintf(out, ", %.1f get RPCs/op", r.GetRPCsPerOp); err != nil {
+					return err
+				}
+			}
+			if r.ManifestBytesPerOp > 0 {
+				if _, err := fmt.Fprintf(out, ", manifest %.0f B local + %.0f B replicated in %.1f put RPCs, %.1f encodes/op",
+					r.ManifestBytesPerOp, r.ManifestReplicaBytesPerOp, r.ManifestPutRPCsPerOp, r.ManifestEncodesPerOp); err != nil {
 					return err
 				}
 			}

@@ -363,3 +363,69 @@ func TestBenchGatewayOverhead(t *testing.T) {
 		t.Errorf("warm gateway-cache reads hit the cache %.2f times/op, want 1", cached.CacheHitsPerOp)
 	}
 }
+
+// TestBenchManifestProfile is the CI gate for the gateway's per-commit
+// metadata path: at every chain length a commit encodes its manifest
+// once, replicates exactly the local file's bytes to each of the 12 nodes
+// in one put RPC apiece, and the per-commit manifest bytes, replica bytes,
+// put RPCs and encodes match the committed bench/BENCH_manifest.json
+// exactly (the archive's history is seed-pinned, so all four are
+// deterministic; commit wall time is not compared).
+func TestBenchManifestProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback TCP benchmark in -short mode")
+	}
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run(t.Context(), []string{"-bench", "manifest", "-benchout", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	read := func(path string) map[string]benchResult {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate the baseline with `secbench -bench manifest -benchout bench`)", err)
+		}
+		var report benchReport
+		if err := json.Unmarshal(raw, &report); err != nil {
+			t.Fatalf("%s is not valid JSON: %v", path, err)
+		}
+		results := make(map[string]benchResult, len(report.Results))
+		for _, r := range report.Results {
+			results[r.Name] = r
+		}
+		return results
+	}
+	results := read(filepath.Join(dir, "BENCH_manifest.json"))
+	baseline := read(filepath.Join("..", "..", "bench", "BENCH_manifest.json"))
+	const nodes = 12
+	prevBytes := 0.0
+	for _, name := range []string{"chain-16", "chain-128", "chain-512"} {
+		r, ok := results[name]
+		if !ok {
+			t.Fatalf("report lacks %q: %+v", name, results)
+		}
+		if r.ManifestEncodesPerOp != 1 || r.ManifestPutRPCsPerOp != nodes {
+			t.Errorf("%s: %.2f encodes and %.2f manifest put RPCs per commit, want 1 and %d",
+				name, r.ManifestEncodesPerOp, r.ManifestPutRPCsPerOp, nodes)
+		}
+		if r.ManifestReplicaBytesPerOp != nodes*r.ManifestBytesPerOp {
+			t.Errorf("%s: %.1f replicated bytes per commit for a %.1f-byte local manifest, want %d copies of it",
+				name, r.ManifestReplicaBytesPerOp, r.ManifestBytesPerOp, nodes)
+		}
+		if r.ManifestBytesPerOp <= prevBytes {
+			t.Errorf("%s: %.1f manifest bytes per commit, not more than the shorter chain's %.1f", name, r.ManifestBytesPerOp, prevBytes)
+		}
+		prevBytes = r.ManifestBytesPerOp
+		base, ok := baseline[name]
+		if !ok {
+			t.Errorf("committed baseline lacks %q", name)
+			continue
+		}
+		if r.ManifestBytesPerOp != base.ManifestBytesPerOp || r.ManifestReplicaBytesPerOp != base.ManifestReplicaBytesPerOp ||
+			r.ManifestPutRPCsPerOp != base.ManifestPutRPCsPerOp || r.ManifestEncodesPerOp != base.ManifestEncodesPerOp {
+			t.Errorf("%s: %+v differs from the committed baseline %+v in a deterministic field; regenerate bench/BENCH_manifest.json deliberately",
+				name, r, base)
+		}
+	}
+}

@@ -142,7 +142,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		}
 	}
 	stats := gw.Stats()
-	logger.Printf("served %d commits, %d retrieves (%d busy rejections, %d conflicts) across %d archives",
-		stats.Commits, stats.Retrieves, stats.BusyRejections, stats.Conflicts, stats.ArchivesOpen)
+	logger.Printf("served %d commits, %d retrieves (%d busy rejections, %d conflicts, %d manifest replications below quorum) across %d archives",
+		stats.Commits, stats.Retrieves, stats.BusyRejections, stats.Conflicts, stats.ReplicationFailures, stats.ArchivesOpen)
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/secarchive/sec/internal/delta"
@@ -111,6 +112,15 @@ type Archive struct {
 	// deletion is deferred (CompactKeepSupersededContext) or failed
 	// (orphans on unreachable nodes), drained by reclaimLocked.
 	superseded []gcObject
+	// generation counts manifest mutations (commits and compaction swaps);
+	// it is persisted so the freshest manifest replica is recognisable.
+	generation uint64
+	// replicaLag is set while the last ReplicateManifest reached fewer
+	// than a write quorum of nodes: stale replicas may still name the
+	// superseded codewords, so reclaimLocked leaves them queued.
+	replicaLag atomic.Bool
+	// manifestEncodes counts Save calls (see ManifestEncodes).
+	manifestEncodes atomic.Uint64
 
 	// ccMu guards ccache, the lazily built CDEC codecs keyed by gamma
 	// (k' = gamma, n' = gamma + N - K). Retrievals run concurrently under
@@ -403,6 +413,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 			return CommitInfo{ReclaimedShards: reclaimed}, err
 		}
 		a.entries = append(a.entries, entry{hasFull: true, length: len(object)})
+		a.generation++
 		a.invalidateReadCache()
 		a.setCache(blocks, len(object))
 		return info, nil
@@ -469,6 +480,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 		compressed: info.Compressed,
 		support:    support,
 	})
+	a.generation++
 	a.invalidateReadCache()
 	if a.cfg.Scheme == ReversedSEC {
 		// The previous version's full codeword is superseded: the chain

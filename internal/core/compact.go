@@ -89,7 +89,9 @@ func (a *Archive) CompactKeepSupersededContext(ctx context.Context, maxLen int) 
 // reclaim could not complete), one delete batch per node. Call it after
 // the post-compaction manifest is safely persisted. It returns how many
 // shards were confirmed gone and how many remain orphaned on unreachable
-// nodes; objects with orphans stay queued for the next reclaim.
+// nodes; objects with orphans stay queued for the next reclaim. While the
+// last ReplicateManifest missed its write quorum, reclaim deletes nothing
+// and the queue waits for a replication that reaches one.
 func (a *Archive) ReclaimSupersededContext(ctx context.Context) (deleted, orphans int, err error) {
 	//lint:allow lockheld reclaim deletes superseded shards; the archive write lock must cover the whole sweep
 	a.mu.Lock()
@@ -115,8 +117,13 @@ func (a *Archive) unqueueSuperseded(id string) {
 }
 
 // reclaimLocked drains the superseded-object queue best effort; objects
-// whose deletion left orphans are re-queued. Caller holds the write lock.
+// whose deletion left orphans are re-queued. It waits (deletes nothing)
+// while a stale manifest replica may still name the queued objects.
+// Caller holds the write lock.
 func (a *Archive) reclaimLocked(ctx context.Context) (deleted, orphans int) {
+	if a.replicaLag.Load() {
+		return 0, 0
+	}
 	pending := a.superseded
 	a.superseded = nil
 	for _, g := range pending {
@@ -331,6 +338,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 	// The manifest swap: one assignment under the write lock. From here on
 	// retrievals plan against the compacted chain only.
 	a.entries = next
+	a.generation++
 	a.invalidateReadCache()
 
 	// Garbage-collect the superseded delta codewords - nothing in the new

@@ -36,10 +36,16 @@ type Manifest struct {
 	// so a reopened archive keeps storing and serving the way it was
 	// created to. All three are absent from pre-compression manifests,
 	// which unmarshal to the defaults (both features off).
-	CompressDeltas   bool            `json:"compress_deltas,omitempty"`
-	CompressGammaMax int             `json:"compress_gamma_max,omitempty"`
-	ReadCacheBytes   int             `json:"read_cache_bytes,omitempty"`
-	Entries          []ManifestEntry `json:"entries"`
+	CompressDeltas   bool `json:"compress_deltas,omitempty"`
+	CompressGammaMax int  `json:"compress_gamma_max,omitempty"`
+	ReadCacheBytes   int  `json:"read_cache_bytes,omitempty"`
+
+	// Generation counts the archive's manifest mutations (commits and
+	// compaction swaps), so a reload can tell the freshest replica from a
+	// stale one even when both list the same number of entries. Manifests
+	// written before generations existed unmarshal to 0.
+	Generation uint64          `json:"generation,omitempty"`
+	Entries    []ManifestEntry `json:"entries"`
 }
 
 // ManifestEntry describes one version's stored objects.
@@ -87,6 +93,7 @@ func (a *Archive) Manifest() Manifest {
 		CompressDeltas:    a.cfg.CompressDeltas,
 		CompressGammaMax:  a.cfg.CompressGammaMax,
 		ReadCacheBytes:    a.cfg.ReadCacheBytes,
+		Generation:        a.generation,
 		Entries:           make([]ManifestEntry, len(a.entries)),
 	}
 	for i, e := range a.entries {
@@ -109,15 +116,20 @@ func (a *Archive) Manifest() Manifest {
 	return m
 }
 
-// Save writes the manifest as JSON.
+// Save writes the manifest as one line of compact JSON. Load also
+// accepts the indented form earlier versions wrote.
 func (a *Archive) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(a.Manifest()); err != nil {
+	a.manifestEncodes.Add(1)
+	if err := json.NewEncoder(w).Encode(a.Manifest()); err != nil {
 		return fmt.Errorf("core: encoding manifest: %w", err)
 	}
 	return nil
 }
+
+// ManifestEncodes reports how many times the archive's manifest has been
+// encoded (Save calls, including SaveToClusterContext's) since it was
+// opened.
+func (a *Archive) ManifestEncodes() uint64 { return a.manifestEncodes.Load() }
 
 // Open reconstructs an archive from its manifest against a cluster holding
 // its shards. The latest-version cache is restored lazily on the next
@@ -160,6 +172,7 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 	if err != nil {
 		return nil, err
 	}
+	a.generation = m.Generation
 	a.entries = make([]entry, len(m.Entries))
 	for i, me := range m.Entries {
 		if me.Version != i+1 {
@@ -237,52 +250,76 @@ func Load(r io.Reader, cluster *store.Cluster) (*Archive, error) {
 // manifests.
 func manifestID(name string) string { return name + "/manifest" }
 
-// SaveToClusterContext replicates the manifest JSON onto every cluster
-// node the archive uses, making the archive self-contained: a client
-// holding only the archive name and node addresses can reopen it with
-// LoadFromCluster. The manifest is tiny metadata, so plain replication
-// (not erasure coding) maximizes its availability. Archives have a single
-// writer; the freshest replica is the one with the most entries.
+// SaveToClusterContext encodes the manifest and replicates it with
+// ReplicateManifest, making the archive self-contained: a client holding
+// only the archive name and node addresses can reopen it with
+// LoadFromClusterContext.
 func (a *Archive) SaveToClusterContext(ctx context.Context) error {
 	var buf bytes.Buffer
 	if err := a.Save(&buf); err != nil {
 		return err
 	}
-	//lint:allow lockheld manifest snapshot must be consistent with the chain state it serializes
-	a.mu.RLock()
-	defer a.mu.RUnlock()
+	return a.ReplicateManifest(ctx, buf.Bytes())
+}
+
+// ReplicateManifest writes data, the archive's manifest as Save encoded
+// it, to every cluster node in one concurrent batch (one ref per node,
+// with the cluster's retry policy and health accounting). The manifest is
+// tiny metadata, so plain replication (not erasure coding) maximizes its
+// availability. It fails unless a write quorum of N-K+1 nodes accepted
+// the bytes - enough that some replica of this generation outlives any
+// N-K node faults - and until a later call reaches a quorum, reclaim
+// leaves superseded codewords queued, since the stale replicas may still
+// name them.
+func (a *Archive) ReplicateManifest(ctx context.Context, data []byte) error {
 	id := store.ShardID{Object: manifestID(a.cfg.Name)}
+	refs := make([]store.ShardRef, a.cluster.Size())
+	payloads := make([][]byte, len(refs))
+	for node := range refs {
+		refs[node] = store.ShardRef{Node: node, ID: id}
+		payloads[node] = data
+	}
 	written := 0
-	for node := 0; node < a.cluster.Size(); node++ {
-		if err := a.cluster.Put(ctx, node, id, buf.Bytes()); err == nil {
+	var failed error
+	for _, err := range a.cluster.PutBatch(ctx, refs, payloads) {
+		if err == nil {
 			written++
+		} else {
+			failed = err
 		}
 	}
-	if written == 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: saving manifest for %q: %w", a.cfg.Name, err)
-		}
-		return fmt.Errorf("core: no node accepted the manifest for %q", a.cfg.Name)
+	quorum := a.cfg.N - a.cfg.K + 1
+	a.replicaLag.Store(written < quorum)
+	if written < quorum {
+		return fmt.Errorf("core: manifest for %q reached %d of %d nodes, below the write quorum of %d: %w",
+			a.cfg.Name, written, len(refs), quorum, failed)
 	}
 	return nil
 }
 
 // LoadFromClusterContext reopens the named archive from manifest replicas
-// stored with SaveToCluster, picking the replica with the most entries
-// (replicas on nodes that were down during the last save may lag behind).
+// stored with SaveToClusterContext, reading every node's replica in one
+// concurrent batch. It opens the highest generation; replicas without one
+// (written before generations existed) fall back to the most entries.
+// Replicas on nodes that missed a save lag behind, and damaged ones are
+// skipped.
 func LoadFromClusterContext(ctx context.Context, name string, cluster *store.Cluster) (*Archive, error) {
 	id := store.ShardID{Object: manifestID(name)}
+	refs := make([]store.ShardRef, cluster.Size())
+	for node := range refs {
+		refs[node] = store.ShardRef{Node: node, ID: id}
+	}
 	var best *Manifest
-	for node := 0; node < cluster.Size(); node++ {
-		data, err := cluster.Get(ctx, node, id)
-		if err != nil {
+	for _, res := range cluster.GetBatch(ctx, refs) {
+		if res.Err != nil {
 			continue
 		}
 		var m Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
+		if err := json.Unmarshal(res.Data, &m); err != nil {
 			continue // damaged replica
 		}
-		if best == nil || len(m.Entries) > len(best.Entries) {
+		if best == nil || m.Generation > best.Generation ||
+			m.Generation == best.Generation && len(m.Entries) > len(best.Entries) {
 			best = &m
 		}
 	}

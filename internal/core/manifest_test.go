@@ -194,6 +194,138 @@ func TestLoadFromClusterPicksFreshestReplica(t *testing.T) {
 	}
 }
 
+// TestLoadFromClusterSkipsStaleCompactionReplica is the regression test
+// for a lost-version bug: compaction changes a manifest's entries but not
+// how many there are, so a replica that missed the post-compaction save
+// looked as fresh as the current one. Reloaded after the reclaim, it
+// pointed versions at deleted codewords. The generation tells them apart.
+func TestLoadFromClusterSkipsStaleCompactionReplica(t *testing.T) {
+	ctx := t.Context()
+	cluster := store.NewMemCluster(20)
+	a, versions := chain20x10(t, cluster)
+	if err := a.SaveToClusterContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := a.CompactKeepSupersededContext(ctx, 4); err != nil || !info.Changed() {
+		t.Fatalf("compaction to 4: %+v, %v", info, err)
+	}
+	// Node 0 misses the post-compaction save and keeps the old replica.
+	if err := cluster.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SaveToClusterContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cluster.HealAll()
+	if deleted, _, err := a.ReclaimSupersededContext(ctx); err != nil || deleted == 0 {
+		t.Fatalf("reclaim deleted %d shards (%v), want the superseded codewords gone", deleted, err)
+	}
+	b, err := LoadFromClusterContext(ctx, "t", cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range versions {
+		got, _, err := b.RetrieveContext(ctx, v+1)
+		if err != nil {
+			t.Fatalf("v%d after reload: %v", v+1, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("v%d differs after reload", v+1)
+		}
+	}
+}
+
+// TestReplicateManifestQuorum: a replication reaching fewer than N-K+1
+// nodes fails and holds back reclaim, so the superseded codewords the
+// stale replicas name survive until a save reaches the quorum.
+func TestReplicateManifestQuorum(t *testing.T) {
+	ctx := t.Context()
+	cluster := store.NewMemCluster(20)
+	a, versions := chain20x10(t, cluster)
+	if err := a.SaveToClusterContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	info, err := a.CompactKeepSupersededContext(ctx, 4)
+	if err != nil || info.SupersededShards == 0 {
+		t.Fatalf("compaction to 4: %+v, %v", info, err)
+	}
+	// Ten nodes down: the save reaches 10 of 20, one short of (20,10)'s
+	// quorum of 11.
+	down := []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	if err := cluster.Fail(down...); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SaveToClusterContext(ctx); err == nil {
+		t.Fatal("save reaching 10 of 20 nodes: want a quorum error")
+	}
+	cluster.HealAll()
+	before := shardCount(t, cluster)
+	if deleted, orphans, err := a.ReclaimSupersededContext(ctx); err != nil || deleted != 0 || orphans != 0 {
+		t.Fatalf("reclaim below quorum = %d deleted, %d orphans, %v; want nothing deleted", deleted, orphans, err)
+	}
+	if after := shardCount(t, cluster); after != before {
+		t.Fatalf("reclaim below quorum removed %d shards", before-after)
+	}
+	// The only fresh replicas sit on nodes 0-9; losing those leaves the
+	// stale ones on 10-19, which must still read every version.
+	fresh := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if err := cluster.Fail(fresh...); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := LoadFromClusterContext(ctx, "t", cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range versions {
+		if got, _, err := stale.RetrieveContext(ctx, v+1); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("v%d from the stale replicas: %v", v+1, err)
+		}
+	}
+	cluster.HealAll()
+	if err := a.SaveToClusterContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if deleted, _, err := a.ReclaimSupersededContext(ctx); err != nil || deleted != info.SupersededShards {
+		t.Errorf("reclaim after a quorum save deleted %d shards (%v), want %d", deleted, err, info.SupersededShards)
+	}
+}
+
+// TestManifestGenerationCountsMutations: every commit and compaction swap
+// bumps the generation, Save persists it on one line of JSON, and a
+// reopened archive carries on counting from it.
+func TestManifestGenerationCountsMutations(t *testing.T) {
+	cluster := store.NewMemCluster(20)
+	a, versions := chain20x10(t, cluster)
+	if got := a.Manifest().Generation; got != uint64(len(versions)) {
+		t.Errorf("generation after %d commits = %d", len(versions), got)
+	}
+	if _, err := a.CompactToContext(t.Context(), 4); err != nil {
+		t.Fatal(err)
+	}
+	gen := a.Manifest().Generation
+	if gen != uint64(len(versions))+1 {
+		t.Errorf("generation after the compaction swap = %d, want %d", gen, len(versions)+1)
+	}
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 1 {
+		t.Errorf("Save wrote %d lines, want one", n)
+	}
+	b, err := Load(&buf, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, b, editBlocks(versions[len(versions)-1], 8, 1))
+	if got := b.Manifest().Generation; got != gen+1 {
+		t.Errorf("reopened archive's next commit has generation %d, want %d", got, gen+1)
+	}
+	if got := a.ManifestEncodes(); got != 1 {
+		t.Errorf("ManifestEncodes = %d after one Save, want 1", got)
+	}
+}
+
 func TestLoadFromClusterMissing(t *testing.T) {
 	if _, err := LoadFromCluster("ghost", store.NewMemCluster(3)); err == nil {
 		t.Error("want error, got nil")

@@ -13,11 +13,13 @@
 // see cmd/secgw) or embedded in-process behind the same interface
 // (secclient.Embed). Manifest durability follows the crash-safe ordering
 // the CLI established: mutate the chain, persist the manifest under the
-// root (and replicate it to the cluster best-effort), and only then
-// reclaim superseded codewords.
+// root and replicate the same bytes to the cluster, and only then reclaim
+// superseded codewords (core defers the reclaim while the replication
+// misses its write quorum).
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -77,6 +79,14 @@ type Stats struct {
 	// BusyRejections counts commits refused because an archive's writer
 	// queue was full; Conflicts counts failed optimistic preconditions.
 	BusyRejections, Conflicts uint64
+	// ReplicationFailures counts manifest saves whose cluster replication
+	// missed the write quorum (the operation itself still succeeded; the
+	// archive keeps superseded codewords until a later save reaches it).
+	ReplicationFailures uint64
+	// ManifestEncodes sums core.Archive.ManifestEncodes over the resident
+	// archives: every manifest save (create, attach, commit, compaction,
+	// close) encodes once.
+	ManifestEncodes uint64
 }
 
 // archiveState is one resident archive: the shared core.Archive every
@@ -157,6 +167,7 @@ type Gateway struct {
 	repairs     atomic.Uint64
 	busy        atomic.Uint64
 	conflicts   atomic.Uint64
+	replFails   atomic.Uint64
 }
 
 // New returns a gateway over the given cluster.
@@ -183,6 +194,14 @@ func (g *Gateway) Cluster() *store.Cluster { return g.cfg.Cluster }
 func (g *Gateway) Stats() Stats {
 	g.mu.Lock()
 	open := len(g.archives)
+	var encodes uint64
+	for _, st := range g.archives {
+		select {
+		case <-st.ready: // failed loads leave the map before ready closes
+			encodes += st.archive.ManifestEncodes()
+		default:
+		}
+	}
 	g.mu.Unlock()
 	return Stats{
 		ArchivesOpen:   open,
@@ -195,6 +214,9 @@ func (g *Gateway) Stats() Stats {
 		Repairs:        g.repairs.Load(),
 		BusyRejections: g.busy.Load(),
 		Conflicts:      g.conflicts.Load(),
+
+		ReplicationFailures: g.replFails.Load(),
+		ManifestEncodes:     encodes,
 	}
 }
 
@@ -288,23 +310,32 @@ func (g *Gateway) load(ctx context.Context, name string) (*core.Archive, error) 
 		return nil, fmt.Errorf("gateway: unknown archive %q: %w (cluster manifest: %w)", name, store.ErrNotFound, err)
 	}
 	if pathErr == nil {
-		if err := saveManifest(archive, path); err != nil {
+		if err := saveLocal(archive, path); err != nil {
 			return nil, err
 		}
 	}
 	return archive, nil
 }
 
-// saveManifest atomically persists an archive's manifest to path.
-func saveManifest(archive *core.Archive, path string) error {
+// saveLocal encodes an archive's manifest and persists it to path.
+func saveLocal(archive *core.Archive, path string) error {
+	var buf bytes.Buffer
+	if err := archive.Save(&buf); err != nil {
+		return err
+	}
+	return writeManifest(path, buf.Bytes())
+}
+
+// writeManifest atomically replaces the file at path with data.
+func writeManifest(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
 	if err != nil {
 		return fmt.Errorf("gateway: persisting manifest: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := archive.Save(tmp); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return err
+		return fmt.Errorf("gateway: persisting manifest: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("gateway: persisting manifest: %w", err)
@@ -315,14 +346,27 @@ func saveManifest(archive *core.Archive, path string) error {
 	return nil
 }
 
-// persist writes the archive's manifest to its configured location; a
-// gateway without persistence relies on the cluster replicas instead.
-func (g *Gateway) persist(st *archiveState) error {
-	path, err := g.manifestPath(st.name)
-	if err != nil {
-		return nil // in-memory gateway: cluster replication is the record
+// persist encodes the archive's manifest once and writes those bytes
+// everywhere the manifest lives: to its configured local location (a
+// gateway without one relies on the cluster replicas), then to every
+// cluster node. A local failure is returned and skips the replication; a
+// replication that misses the write quorum is counted in
+// Stats.ReplicationFailures, and core then keeps superseded codewords
+// queued until a later save reaches the quorum.
+func (g *Gateway) persist(ctx context.Context, st *archiveState) error {
+	var buf bytes.Buffer
+	if err := st.archive.Save(&buf); err != nil {
+		return err
 	}
-	return saveManifest(st.archive, path)
+	if path, err := g.manifestPath(st.name); err == nil {
+		if err := writeManifest(path, buf.Bytes()); err != nil {
+			return err
+		}
+	}
+	if err := st.archive.ReplicateManifest(ctx, buf.Bytes()); err != nil {
+		g.replFails.Add(1)
+	}
+	return nil
 }
 
 // Create builds a fresh archive under the gateway and persists its
@@ -352,7 +396,7 @@ func (g *Gateway) Create(ctx context.Context, name string, spec transport.Archiv
 			return nil, err
 		}
 		if pathErr == nil {
-			if err := saveManifest(archive, path); err != nil {
+			if err := saveLocal(archive, path); err != nil {
 				return nil, err
 			}
 		}
@@ -401,18 +445,14 @@ func (g *Gateway) Commit(ctx context.Context, name string, expect int, object []
 	// and for Reversed SEC the previous tip's full codeword is already
 	// gone from the nodes — so the manifest MUST be persisted now either
 	// way, or a reopen would anchor on deleted objects.
-	if serr := g.persist(st); serr != nil {
+	if serr := g.persist(ctx, st); serr != nil {
 		err = errors.Join(err, serr)
-	} else {
-		// Replicate the manifest onto the nodes too (best effort), then —
-		// only after the manifest is safe — reclaim compaction-superseded
+	} else if info.Compaction != nil {
+		// Only after the manifest is safe, reclaim compaction-superseded
 		// codewords.
-		_ = st.archive.SaveToClusterContext(ctx)
-		if info.Compaction != nil {
-			deleted, _, rerr := st.archive.ReclaimSupersededContext(ctx)
-			if rerr == nil {
-				info.Compaction.ShardsDeleted += deleted
-			}
+		deleted, _, rerr := st.archive.ReclaimSupersededContext(ctx)
+		if rerr == nil {
+			info.Compaction.ShardsDeleted += deleted
 		}
 	}
 	if err != nil {
@@ -567,10 +607,9 @@ func (g *Gateway) Compact(ctx context.Context, name string, maxChain int) (trans
 	if !info.Changed() {
 		return report, nil
 	}
-	if err := g.persist(st); err != nil {
+	if err := g.persist(ctx, st); err != nil {
 		return report, err
 	}
-	_ = st.archive.SaveToClusterContext(ctx)
 	report.Deleted, report.Orphans, err = st.archive.ReclaimSupersededContext(ctx)
 	if err != nil {
 		return report, err
@@ -657,10 +696,9 @@ func (g *Gateway) Close(ctx context.Context) error {
 		if st.err != nil {
 			continue
 		}
-		if err := g.persist(st); err != nil && firstErr == nil {
+		if err := g.persist(ctx, st); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		_ = st.archive.SaveToClusterContext(ctx)
 	}
 	return firstErr
 }

@@ -631,6 +631,9 @@ func subGatewayStats(after, before gateway.Stats) gateway.Stats {
 		Repairs:        after.Repairs - before.Repairs,
 		BusyRejections: after.BusyRejections - before.BusyRejections,
 		Conflicts:      after.Conflicts - before.Conflicts,
+
+		ReplicationFailures: after.ReplicationFailures - before.ReplicationFailures,
+		ManifestEncodes:     after.ManifestEncodes - before.ManifestEncodes,
 	}
 }
 
